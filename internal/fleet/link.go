@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ldlp/internal/faults"
+	"ldlp/internal/flowtable"
 	"ldlp/internal/mbuf"
 )
 
@@ -25,12 +26,10 @@ type LinkConfig struct {
 	// before propagation. 0 means infinite (no serialization delay).
 	Bandwidth float64
 	// Faults, when non-nil, runs every frame on this link through a
-	// seeded faults.Injector (loss, bursts, duplication, reordering,
-	// extra delay, bit corruption, partitions).
+	// faults.Injector (loss, bursts, duplication, reordering, extra
+	// delay, bit corruption, partitions) seeded from the fleet seed and
+	// the (src, dst) pair.
 	Faults *faults.Config
-	// FaultSeed seeds the link's injector; 0 derives a stable seed from
-	// the fleet seed and the (src, dst) pair.
-	FaultSeed int64
 }
 
 // LANLink is a datacenter-flavoured preset: 50 µs propagation at
@@ -70,13 +69,7 @@ type prng struct{ state uint64 }
 
 func (p *prng) next() uint64 {
 	p.state += 0x9e3779b97f4a7c15
-	z := p.state
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	return flowtable.Mix64(p.state)
 }
 
 func (p *prng) float64() float64 { return float64(p.next()>>11) / (1 << 53) }
@@ -124,10 +117,7 @@ func (f *Fleet) link(src, dst int32) *linkState {
 		jit:  prng{state: uint64(f.cfg.Seed)*0x100000001b3 ^ key},
 	}
 	if cfg.Faults != nil {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = f.cfg.Seed*1_000_003 + int64(src)*1_000_000 + int64(dst) + 1
-		}
+		seed := f.cfg.Seed*1_000_003 + int64(src)*1_000_000 + int64(dst) + 1
 		ls.inj = faults.New(*cfg.Faults, seed)
 	}
 	f.links[key] = ls

@@ -6,83 +6,39 @@ package flowtable
 // traffic and showed a handful of recently-used entries absorb most
 // lookups — with the caveat that the eviction policy matters, which
 // that report compares empirically (LRU vs FIFO vs random). The Cache
-// keeps all three policies behind one type so the netstack can run the
-// same comparison on its own traffic; policy choice never changes
-// lookup results, only which entries stay warm.
+// is LRU, the policy that report (and this package's policy_test.go,
+// which replays the comparison against test-side FIFO and random
+// references) finds best; eviction never changes lookup results, only
+// which entries stay warm.
 //
 // Capacity is deliberately tiny (default 8): the scan is a straight
 // key-array walk that stays within one or two cache lines, which is
 // the whole point — a hit never touches the Table at all.
 
-// Policy selects the cache's eviction discipline.
-type Policy uint8
-
-const (
-	// PolicyLRU evicts the least recently used entry (hits refresh).
-	PolicyLRU Policy = iota
-	// PolicyFIFO evicts the oldest insertion (hits do not refresh).
-	PolicyFIFO
-	// PolicyRandom evicts a uniformly random entry (seeded, so runs
-	// replay deterministically).
-	PolicyRandom
-)
-
-// Policies lists every eviction policy, for sweeps and tests.
-func Policies() []Policy { return []Policy{PolicyLRU, PolicyFIFO, PolicyRandom} }
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyFIFO:
-		return "fifo"
-	case PolicyRandom:
-		return "random"
-	default:
-		return "unknown"
-	}
-}
-
 // DefaultCacheSize is the capacity NewCache substitutes for n <= 0.
 const DefaultCacheSize = 8
 
-// Cache is a fixed-capacity recently-active-flow cache. Like Table it
-// is single-writer, owned by one shard. Entries are kept in parallel
-// key/value arrays; for LRU and FIFO the arrays are ordered
-// newest-first (LRU refreshes on hit, FIFO does not — so its order is
-// pure insertion age), for random they are unordered.
+// Cache is a fixed-capacity least-recently-used flow cache. Like Table
+// it is single-writer, owned by one shard. Entries are kept in parallel
+// key/value arrays ordered newest-first: a hit or an update moves the
+// entry to the front, and a full cache evicts the back.
 type Cache[K comparable, V any] struct {
-	policy Policy
-	keys   []K
-	vals   []V
-	used   int
-	rng    uint64 // xorshift64 state, PolicyRandom victim picks
+	keys []K
+	vals []V
+	used int
 
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-// NewCache builds a cache of capacity n (DefaultCacheSize if n <= 0)
-// with the given eviction policy. seed drives PolicyRandom's victim
-// choice; a zero seed is replaced so the generator never sticks.
-func NewCache[K comparable, V any](n int, policy Policy, seed uint64) *Cache[K, V] {
+// NewCache builds a cache of capacity n (DefaultCacheSize if n <= 0).
+func NewCache[K comparable, V any](n int) *Cache[K, V] {
 	if n <= 0 {
 		n = DefaultCacheSize
 	}
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &Cache[K, V]{
-		policy: policy,
-		keys:   make([]K, n),
-		vals:   make([]V, n),
-		rng:    seed,
-	}
+	return &Cache[K, V]{keys: make([]K, n), vals: make([]V, n)}
 }
-
-// Policy reports the cache's eviction policy.
-func (c *Cache[K, V]) Policy() Policy { return c.policy }
 
 // Cap reports the cache's capacity.
 func (c *Cache[K, V]) Cap() int { return len(c.keys) }
@@ -90,19 +46,23 @@ func (c *Cache[K, V]) Cap() int { return len(c.keys) }
 // Len reports the number of cached entries.
 func (c *Cache[K, V]) Len() int { return c.used }
 
-// Lookup scans for k. Under LRU a hit moves the entry to the front;
-// FIFO and random leave order untouched.
+// toFront moves slot i to the front, shifting newer entries back one.
+func (c *Cache[K, V]) toFront(i int, k K, v V) {
+	copy(c.keys[1:i+1], c.keys[:i])
+	copy(c.vals[1:i+1], c.vals[:i])
+	c.keys[0] = k
+	c.vals[0] = v
+}
+
+// Lookup scans for k; a hit moves the entry to the front.
 //
 //ldlp:hotpath
 func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 	for i := 0; i < c.used; i++ {
 		if c.keys[i] == k {
 			v := c.vals[i]
-			if c.policy == PolicyLRU && i > 0 {
-				copy(c.keys[1:i+1], c.keys[:i])
-				copy(c.vals[1:i+1], c.vals[:i])
-				c.keys[0] = k
-				c.vals[0] = v
+			if i > 0 {
+				c.toFront(i, k, v)
 			}
 			c.hits++
 			return v, true
@@ -113,50 +73,25 @@ func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 	return zero, false
 }
 
-// Insert adds k (or updates it in place), evicting per policy when
-// full.
+// Insert adds k at the front (or updates it and moves it there),
+// evicting the least recently used entry when full.
 //
 //ldlp:hotpath
 func (c *Cache[K, V]) Insert(k K, v V) {
 	for i := 0; i < c.used; i++ {
 		if c.keys[i] == k {
-			c.vals[i] = v
-			if c.policy == PolicyLRU && i > 0 {
-				copy(c.keys[1:i+1], c.keys[:i])
-				copy(c.vals[1:i+1], c.vals[:i])
-				c.keys[0] = k
-				c.vals[0] = v
-			}
+			c.toFront(i, k, v)
 			return
 		}
 	}
-	switch c.policy {
-	case PolicyRandom:
-		slot := c.used
-		if slot == len(c.keys) {
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 7
-			c.rng ^= c.rng << 17
-			slot = int(c.rng % uint64(len(c.keys)))
-			c.evictions++
-		} else {
-			c.used++
-		}
-		c.keys[slot] = k
-		c.vals[slot] = v
-	default: // LRU and FIFO both insert at the front, evicting the back
-		n := c.used
-		if n == len(c.keys) {
-			n--
-			c.evictions++
-		} else {
-			c.used++
-		}
-		copy(c.keys[1:n+1], c.keys[:n])
-		copy(c.vals[1:n+1], c.vals[:n])
-		c.keys[0] = k
-		c.vals[0] = v
+	n := c.used
+	if n == len(c.keys) {
+		n--
+		c.evictions++
+	} else {
+		c.used++
 	}
+	c.toFront(n, k, v)
 }
 
 // Invalidate removes k if cached (the teardown path: a dead PCB must
@@ -166,17 +101,11 @@ func (c *Cache[K, V]) Invalidate(k K) {
 		if c.keys[i] != k {
 			continue
 		}
+		copy(c.keys[i:c.used-1], c.keys[i+1:c.used])
+		copy(c.vals[i:c.used-1], c.vals[i+1:c.used])
+		c.used--
 		var zeroK K
 		var zeroV V
-		switch c.policy {
-		case PolicyRandom: // unordered: swap with last
-			c.keys[i] = c.keys[c.used-1]
-			c.vals[i] = c.vals[c.used-1]
-		default: // ordered: compact, preserving recency/insertion order
-			copy(c.keys[i:c.used-1], c.keys[i+1:c.used])
-			copy(c.vals[i:c.used-1], c.vals[i+1:c.used])
-		}
-		c.used--
 		c.keys[c.used] = zeroK
 		c.vals[c.used] = zeroV
 		return
@@ -194,8 +123,7 @@ func (c *Cache[K, V]) Reset() {
 	c.used = 0
 }
 
-// Keys returns the cached keys in internal order (recency order for
-// LRU, insertion order for FIFO, slot order for random). Allocates;
+// Keys returns the cached keys most recently used first. Allocates;
 // for tests and diagnostics, not the hot path.
 func (c *Cache[K, V]) Keys() []K {
 	out := make([]K, c.used)

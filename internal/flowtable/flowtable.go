@@ -2,7 +2,7 @@
 // open-addressed hash table tuned for the per-shard flow state the
 // netstack keeps (TCP PCBs keyed by 4-tuple, reassembly state keyed by
 // IP ID), plus a small recently-active-flow cache in front of it
-// (cache.go) whose eviction policy is pluggable.
+// (cache.go) with LRU eviction.
 //
 // A Go map served the same role up to a few thousand flows, but §2 of
 // the paper puts the PCB lookup squarely on the small-message fast

@@ -185,7 +185,7 @@ func TestTableRangeMidMigration(t *testing.T) {
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	c := NewCache[int, string](3, PolicyLRU, 1)
+	c := NewCache[int, string](3)
 	c.Insert(1, "a")
 	c.Insert(2, "b")
 	c.Insert(3, "c")
@@ -202,31 +202,35 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 }
 
+// TestCacheFIFOOrder pins the FIFO reference the policy comparison
+// replays against LRU: a hit must not refresh.
 func TestCacheFIFOOrder(t *testing.T) {
-	c := NewCache[int, string](3, PolicyFIFO, 1)
-	c.Insert(1, "a")
-	c.Insert(2, "b")
-	c.Insert(3, "c")
-	c.Lookup(1) // FIFO: hit must NOT refresh
-	c.Insert(4, "d")
+	r := newRefCache(3, refFIFO, 1)
+	r.insert(1, 1)
+	r.insert(2, 2)
+	r.insert(3, 3)
+	r.lookup(1) // FIFO: hit must NOT refresh
+	r.insert(4, 4)
 	// 1 was the oldest insertion: evicted despite the recent hit.
-	if _, ok := c.Lookup(1); ok {
+	if _, ok := r.lookup(1); ok {
 		t.Fatal("FIFO refreshed on hit")
 	}
-	for _, k := range []int{2, 3, 4} {
-		if _, ok := c.Lookup(k); !ok {
+	for _, k := range []uint64{2, 3, 4} {
+		if _, ok := r.lookup(k); !ok {
 			t.Fatalf("FIFO evicted the wrong entry (%d gone)", k)
 		}
 	}
 }
 
+// TestCacheRandomDeterministicPerSeed pins the random reference: its
+// victims come from the seed alone, so the comparison replays exactly.
 func TestCacheRandomDeterministicPerSeed(t *testing.T) {
-	run := func(seed uint64) []int {
-		c := NewCache[int, int](4, PolicyRandom, seed)
-		for i := 0; i < 64; i++ {
-			c.Insert(i, i)
+	run := func(seed uint64) []uint64 {
+		r := newRefCache(4, refRandom, seed)
+		for i := uint64(0); i < 64; i++ {
+			r.insert(i, i)
 		}
-		return c.Keys()
+		return r.keys
 	}
 	a, b := run(7), run(7)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -238,33 +242,35 @@ func TestCacheRandomDeterministicPerSeed(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	for _, p := range Policies() {
-		c := NewCache[int, int](4, p, 3)
-		for i := 1; i <= 4; i++ {
-			c.Insert(i, i)
-		}
-		c.Invalidate(2)
-		if _, ok := c.Lookup(2); ok {
-			t.Fatalf("%v: Invalidate left the entry", p)
-		}
-		if c.Len() != 3 {
-			t.Fatalf("%v: Len = %d after Invalidate, want 3", p, c.Len())
-		}
-		c.Invalidate(99) // absent: no-op
-		if c.Len() != 3 {
-			t.Fatalf("%v: Invalidate(absent) changed Len", p)
-		}
-		// The freed slot is reused without eviction.
-		evBefore := c.Stats().Evictions
-		c.Insert(5, 5)
-		if c.Stats().Evictions != evBefore {
-			t.Fatalf("%v: insert into freed slot evicted", p)
-		}
+	c := NewCache[int, int](4)
+	for i := 1; i <= 4; i++ {
+		c.Insert(i, i)
+	}
+	c.Invalidate(2)
+	if _, ok := c.Lookup(2); ok {
+		t.Fatal("Invalidate left the entry")
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d after Invalidate, want 3", c.Len())
+	}
+	c.Invalidate(99) // absent: no-op
+	if c.Len() != 3 {
+		t.Fatal("Invalidate(absent) changed Len")
+	}
+	// Recency order survives the compaction.
+	if got := fmt.Sprint(c.Keys()); got != "[4 3 1]" {
+		t.Fatalf("keys after Invalidate = %s, want [4 3 1]", got)
+	}
+	// The freed slot is reused without eviction.
+	evBefore := c.Stats().Evictions
+	c.Insert(5, 5)
+	if c.Stats().Evictions != evBefore {
+		t.Fatal("insert into freed slot evicted")
 	}
 }
 
 func TestCacheStatsAndHitRate(t *testing.T) {
-	c := NewCache[int, int](2, PolicyLRU, 1)
+	c := NewCache[int, int](2)
 	c.Insert(1, 1)
 	c.Lookup(1)
 	c.Lookup(1)
@@ -279,19 +285,7 @@ func TestCacheStatsAndHitRate(t *testing.T) {
 	if (CacheStats{}).HitRate() != 0 {
 		t.Fatal("empty HitRate not 0")
 	}
-	if NewCache[int, int](0, PolicyLRU, 0).Cap() != DefaultCacheSize {
+	if NewCache[int, int](0).Cap() != DefaultCacheSize {
 		t.Fatal("default capacity not applied")
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	want := map[Policy]string{PolicyLRU: "lru", PolicyFIFO: "fifo", PolicyRandom: "random"}
-	for p, s := range want {
-		if p.String() != s {
-			t.Fatalf("%d.String() = %q, want %q", p, p.String(), s)
-		}
-	}
-	if Policy(99).String() != "unknown" {
-		t.Fatal("unknown policy name")
 	}
 }

@@ -139,9 +139,6 @@ func TestLoadAwareMigratesHotFlows(t *testing.T) {
 	if ds.FragsMigrated == 0 {
 		t.Fatalf("hot bucket moved but its reassembly state did not: %+v", ds)
 	}
-	if fs := b.FlowStats(); fs.Migrated != ds.FlowsMigrated {
-		t.Errorf("FlowStats.Migrated = %d, DispatchStats.FlowsMigrated = %d", fs.Migrated, ds.FlowsMigrated)
-	}
 
 	// The migrated reassembly completes on the new shard.
 	b.deliver(chaosFrame(ipA, ipB, layers.ProtoUDP, fragID, 0, 576, whole[576:]))

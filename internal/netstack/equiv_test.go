@@ -11,10 +11,11 @@ package netstack
 // touched from its owning shard) this is the proof that sharding the
 // data path changed its performance and nothing else.
 //
-// Two deliberate exclusions from the ledger: PCBCacheHits/Misses (the
-// one-entry PCB cache is per shard, so its hit pattern legitimately
-// depends on the shard count) and TxBatches/TxMaxBatch (batch
-// composition depends on how flows interleave across shard queues).
+// Two deliberate exclusions from the ledger: the flow cache's hit, miss
+// and eviction tallies (FlowStats; the cache is per shard, so its hit
+// pattern legitimately depends on the shard count) and
+// TxBatches/TxMaxBatch (batch composition depends on how flows
+// interleave across shard queues).
 // Everything else — every frame, every drop reason, every ACK — must be
 // bit-for-bit equal.
 
@@ -63,9 +64,9 @@ type equivScript struct {
 	strayAt []bool
 }
 
-func genEquivScript(seed int64, maxMsg int) *equivScript {
+func genEquivScript(seed int64, conns, maxMsg int) *equivScript {
 	rng := rand.New(rand.NewSource(seed))
-	s := &equivScript{conns: 4, uFlows: 3, rounds: 30}
+	s := &equivScript{conns: conns, uFlows: 3, rounds: 30}
 	s.tcpMsgs = make([][][][]byte, s.rounds)
 	s.udpMsgs = make([][][]byte, s.rounds)
 	s.bigAt = make([]byte, s.rounds)
@@ -126,10 +127,12 @@ type equivRun struct {
 	reasmLocal    int64
 	reassembled   int64
 	tcpReinjects  int64
+	evictions     int64 // server flow-cache evictions
 }
 
 // ledgerFields is the drop-reason/traffic ledger compared across shard
-// counts. See the file comment for why PCBCache* and TxBatches are out.
+// counts. See the file comment for why the flow-cache tallies and
+// TxBatches are out.
 func ledgerFor(name string, c *Counters) map[string]int64 {
 	return map[string]int64{
 		name + ".framesIn":      c.FramesIn,
@@ -161,8 +164,8 @@ func ledgerFor(name string, c *Counters) map[string]int64 {
 // count. cfg impairs both directions when non-nil (fault runs compare
 // stream contents only — injector draws depend on frame order, which
 // legitimately differs across shard counts). mutate, when non-nil,
-// adjusts the server's Options before the host is built (the eviction-
-// policy runs use it to sweep FlowCachePolicy).
+// adjusts the server's Options before the host is built (the dispatch-
+// policy runs use it to install a policy).
 func runEquivWorkload(t *testing.T, script *equivScript, shards int, cfg *faults.Config, mutate func(*Options)) *equivRun {
 	t.Helper()
 	mbuf.ResetPool()
@@ -382,6 +385,7 @@ func runEquivWorkload(t *testing.T, script *equivScript, shards int, cfg *faults
 	}
 	run.reassembled = b.Counters.Reassembled
 	run.tcpReinjects = b.Counters.TCPReinjects
+	run.evictions = b.FlowStats().CacheEvictions
 	if s := mbuf.PoolStats(); s.InUse != 0 && n.HeldFrames() == 0 {
 		t.Errorf("mbuf leak at %d shards: %+v", shards, s)
 	}
@@ -418,7 +422,7 @@ func compareStreams(t *testing.T, script *equivScript, base, got *equivRun, shar
 func TestDifferentialShardEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			script := genEquivScript(seed, 512)
+			script := genEquivScript(seed, 4, 512)
 			base := runEquivWorkload(t, script, 1, nil, nil)
 			if base.reinjects != 0 {
 				t.Errorf("single-threaded run reinjected %d datagrams, want 0", base.reinjects)
@@ -486,7 +490,7 @@ func TestDifferentialEquivalenceUnderFaults(t *testing.T) {
 			cfg := presets[name]
 			// Over-MTU messages: fragmented TCP segments cross shards through
 			// the reassembly reinject, the one path the ledger runs scope out.
-			script := genEquivScript(7, 1000)
+			script := genEquivScript(7, 4, 1000)
 			base := runEquivWorkload(t, script, 1, &cfg, nil)
 			for _, shards := range []int{4} {
 				got := runEquivWorkload(t, script, shards, &cfg, nil)
@@ -497,38 +501,36 @@ func TestDifferentialEquivalenceUnderFaults(t *testing.T) {
 }
 
 // TestDifferentialEquivalenceEvictionPolicies pins the flow cache's
-// "policy never changes lookup results" contract end to end: the same
-// workload through every eviction policy, at one shard and several,
-// must produce the identical streams, datagram sequences and ledger as
-// the single-shard LRU baseline. The policy only decides which entries
-// stay warm — a divergence here means a cache hit returned a different
-// PCB than the table would have.
+// "eviction never changes lookup results" contract end to end. The
+// cache evicts by LRU only (FIFO and random survive as test-side
+// references in internal/flowtable), so there is one case: a workload
+// with more TCP connections than the cache holds must evict, and still
+// produce the identical streams, datagram sequences and ledger at one
+// shard and several. A divergence here means a cache hit returned a
+// different PCB than the table would have.
 func TestDifferentialEquivalenceEvictionPolicies(t *testing.T) {
-	script := genEquivScript(11, 512)
-	base := runEquivWorkload(t, script, 1, nil, nil)
-	for _, policy := range flowtable.Policies() {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			mutate := func(o *Options) {
-				o.FlowCachePolicy = policy
-				o.FlowCacheSize = 4 // small enough that eviction actually happens
-			}
-			for _, shards := range []int{1, 2, 4} {
-				got := runEquivWorkload(t, script, shards, nil, mutate)
-				compareStreams(t, script, base, got, shards)
-				for f := range got.udpSeqs {
-					if got.udpSeqs[f] != base.udpSeqs[f] {
-						t.Errorf("policy=%v shards=%d: UDP flow %d sequence differs", policy, shards, f)
-					}
-				}
-				for k, v := range base.ledger {
-					if got.ledger[k] != v {
-						t.Errorf("policy=%v shards=%d: ledger[%s] = %d, want %d", policy, shards, k, got.ledger[k], v)
-					}
+	t.Run("lru", func(t *testing.T) {
+		script := genEquivScript(11, flowtable.DefaultCacheSize+4, 512)
+		base := runEquivWorkload(t, script, 1, nil, nil)
+		if base.evictions == 0 {
+			t.Fatalf("%d connections through a %d-entry flow cache evicted nothing",
+				script.conns, flowtable.DefaultCacheSize)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			got := runEquivWorkload(t, script, shards, nil, nil)
+			compareStreams(t, script, base, got, shards)
+			for f := range got.udpSeqs {
+				if got.udpSeqs[f] != base.udpSeqs[f] {
+					t.Errorf("shards=%d: UDP flow %d sequence differs", shards, f)
 				}
 			}
-		})
-	}
+			for k, v := range base.ledger {
+				if got.ledger[k] != v {
+					t.Errorf("shards=%d: ledger[%s] = %d, want %d", shards, k, got.ledger[k], v)
+				}
+			}
+		}
+	})
 }
 
 // TestTupleShardMatchesRxFlowHash is the pin holding the whole ownership
@@ -595,7 +597,7 @@ func TestTupleShardMatchesRxFlowHash(t *testing.T) {
 // equality proves migrations are behaviour-free. A fault-preset leg
 // narrows to stream equality, like the other fault runs.
 func TestDifferentialEquivalenceDispatchPolicies(t *testing.T) {
-	script := genEquivScript(13, 512)
+	script := genEquivScript(13, 4, 512)
 	base := runEquivWorkload(t, script, 1, nil, nil)
 	policies := []struct {
 		name string
@@ -646,7 +648,7 @@ func TestDifferentialEquivalenceDispatchPolicies(t *testing.T) {
 	}
 	if !testing.Short() {
 		cfg := faults.Presets()["bernoulli"]
-		fscript := genEquivScript(17, 1000)
+		fscript := genEquivScript(17, 4, 1000)
 		fbase := runEquivWorkload(t, fscript, 1, &cfg, nil)
 		for _, pc := range policies {
 			pc := pc

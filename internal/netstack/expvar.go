@@ -24,13 +24,6 @@ func (h *Host) QueueDepths() []int {
 	return []int{h.stack.Pending()}
 }
 
-// PoolStats returns the mbuf pool counters every host draws from (the
-// package default pool): a balanced InUse of zero means no chain was
-// leaked anywhere in the process.
-func PoolStats() mbuf.Stats {
-	return mbuf.PoolStats()
-}
-
 // expvarHosts maps a legacy alias name to the current *Host behind it,
 // so tests (and long-lived servers that rebuild their Net) can
 // re-publish a name: the expvar registry only ever holds one Func per

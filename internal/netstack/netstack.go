@@ -79,8 +79,6 @@ type Counters struct {
 	NoSocket            int64
 	TCPFastPath         int64
 	TCPSlowPath         int64
-	PCBCacheHits        int64
-	PCBCacheMisses      int64
 	AcksSent            int64
 	DelayedAcks         int64
 	Retransmits         int64
@@ -99,10 +97,10 @@ type Counters struct {
 	// ledgers for (the checked invariant that replaced PR 6's documented
 	// caveat).
 	TCPReinjects int64
-	TxBatches           int64 // transmit-side LDLP: queued-output flushes
-	TxMaxBatch          int   // largest single transmit flush
-	WindowProbes        int64 // zero-window persist probes sent
-	TimeoutDrops        int64 // connections reaped after retransmission gave up
+	TxBatches    int64 // transmit-side LDLP: queued-output flushes
+	TxMaxBatch   int   // largest single transmit flush
+	WindowProbes int64 // zero-window persist probes sent
+	TimeoutDrops int64 // connections reaped after retransmission gave up
 }
 
 // inc bumps a counter; atomic because sharded receive paths update
@@ -130,16 +128,6 @@ type Options struct {
 	// schedule has no queues to shard). 0 or 1 keeps the deterministic
 	// single-threaded path.
 	RxShards int
-	// Faults, when non-nil, impairs this host's ingress link: every
-	// frame addressed to the host passes through a seeded faults
-	// Injector (loss, bursts, duplication, reordering, delay, bit
-	// corruption, partitions). Equivalent to calling Net.Impair on the
-	// host's address after AddHost.
-	Faults *faults.Config
-	// FaultSeed seeds the ingress injector (0 derives a stable seed
-	// from the host's IP, so multi-host setups stay deterministic
-	// without choosing seeds by hand).
-	FaultSeed int64
 	// TelemetryClock stamps the host's flight-recorder events. Nil uses
 	// the Net's simulated clock (in nanoseconds), which keeps traces
 	// deterministic per seed; real-time drivers (cmd/ldlptrace) inject a
@@ -148,15 +136,6 @@ type Options struct {
 	// TelemetryRing sizes each shard's flight-recorder ring (<= 0 uses
 	// the telemetry default).
 	TelemetryRing int
-	// FlowCacheSize sets each transport shard's recently-active flow
-	// cache capacity — the N-entry generalization of the paper's
-	// single-entry PCB cache. <= 0 uses flowtable.DefaultCacheSize (8).
-	FlowCacheSize int
-	// FlowCachePolicy selects the flow cache's eviction policy (LRU,
-	// FIFO or random — the DEC-TR-592 comparison). The policy changes
-	// only which entries stay warm, never lookup results, so any choice
-	// preserves wire-level behaviour. Zero value is LRU.
-	FlowCachePolicy flowtable.Policy
 	// Dispatch selects the receive-side dispatch policy mapping frames
 	// to shards (and, for dispatch.LoadAware, rebalancing hot flows at
 	// quiescent points). Nil uses dispatch.Static — the classic flow-hash
@@ -295,9 +274,6 @@ func (n *Net) AddHost(name string, ip layers.IPAddr, opts Options) *Host {
 	h := newHost(n, name, ip, opts)
 	n.hosts[h.mac] = h
 	n.byIP[ip] = h
-	if opts.Faults != nil {
-		n.Impair(ip, *opts.Faults, opts.FaultSeed)
-	}
 	return h
 }
 
@@ -670,9 +646,9 @@ type shardTally struct {
 // tests: what it carried and what it currently owns. Read while the
 // network is quiescent.
 type ShardTransportStats struct {
-	Shard     int
-	TCPSegs   int64 // TCP segments that reached this shard's TCP layer
-	UDPDgrams int64 // datagrams queued to sockets by this shard
+	Shard      int
+	TCPSegs    int64 // TCP segments that reached this shard's TCP layer
+	UDPDgrams  int64 // datagrams queued to sockets by this shard
 	TxFrames   int64 // frames this shard queued for transmit
 	Reinjects  int64 // reassembled datagrams re-routed to their flow's owner
 	ReasmLocal int64 // reassembled datagrams whose flow this shard already owned
@@ -699,13 +675,12 @@ func (h *Host) ShardTransportStats() []ShardTransportStats {
 }
 
 // FlowStats aggregates the flow-table and flow-cache effectiveness
-// counters across every transport shard: cache hit rate per the
-// configured eviction policy, and the flow table's probe-depth
-// distribution (groups touched per lookup — p99 near 1 means lookups
-// stay within one or two cache lines even at millions of flows).
+// counters across every transport shard: the LRU flow cache's hit
+// rate, and the flow table's probe-depth distribution (groups touched
+// per lookup — p99 near 1 means lookups stay within one or two cache
+// lines even at millions of flows).
 // Pump-side: call while the network is quiescent.
 type FlowStats struct {
-	Policy         string  `json:"policy"`
 	CacheHits      int64   `json:"cacheHits"`
 	CacheMisses    int64   `json:"cacheMisses"`
 	CacheEvictions int64   `json:"cacheEvictions"`
@@ -717,9 +692,6 @@ type FlowStats struct {
 	ProbeDepthP50  float64 `json:"probeDepthP50"`
 	ProbeDepthP99  float64 `json:"probeDepthP99"`
 	ProbeDepthMax  int64   `json:"probeDepthMax"`
-	// Migrated counts connections re-homed to another shard by the
-	// dispatch policy's rebalancing (0 under static policies).
-	Migrated int64 `json:"migrated"`
 }
 
 // FlowStats reports the merged flow-table/flow-cache statistics.
@@ -742,13 +714,11 @@ func (h *Host) FlowStats() FlowStats {
 		out.Capacity += st.Capacity
 		depth.Merge(ts.pcbs.DepthHist())
 	}
-	out.Policy = h.opts.FlowCachePolicy.String()
 	out.CacheHits, out.CacheMisses, out.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
 	out.CacheHitRate = cs.HitRate()
 	out.ProbeDepthP50 = depth.Quantile(0.50)
 	out.ProbeDepthP99 = depth.Quantile(0.99)
 	out.ProbeDepthMax = depth.Max
-	out.Migrated = h.flowsMigrated
 	return out
 }
 
@@ -824,10 +794,10 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 	if h.policy == nil {
 		h.policy = dispatch.Static{}
 	}
-	poolBase := int(hostSeq.Add(int64(maxInt(1, opts.RxShards) + 1)))
+	poolBase := int(hostSeq.Add(int64(max(1, opts.RxShards) + 1)))
 	h.id = poolBase
 	h.txPool = mbuf.DefaultShard(poolBase)
-	h.tshards = make([]*transportShard, maxInt(1, opts.RxShards))
+	h.tshards = make([]*transportShard, max(1, opts.RxShards))
 	// One contiguous padded array: each shard's tally owns a full cache
 	// line, and the slots are adjacent so the pump's stats sweep streams
 	// through them.
@@ -840,7 +810,7 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 		h.tshards[i] = &transportShard{
 			h: h, idx: i,
 			pcbs:     flowtable.New[fourTuple, *tcpPCB](0, pcbHasher(seed)),
-			pcbCache: flowtable.NewCache[fourTuple, *tcpPCB](opts.FlowCacheSize, opts.FlowCachePolicy, seed|1),
+			pcbCache: flowtable.NewCache[fourTuple, *tcpPCB](flowtable.DefaultCacheSize),
 			tally:    &tallies[i],
 		}
 	}
@@ -919,13 +889,6 @@ func (h *Host) getPacket() *Packet {
 func (h *Host) putPacket(p *Packet) {
 	*p = Packet{}
 	h.pktPool.Put(p)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // nextIPID allocates an outbound datagram ID. Atomic: shard workers and
@@ -1387,11 +1350,4 @@ func (h *Host) tick() {
 	h.tcpTick()
 	h.fragTick()
 	h.dispatchTick()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
